@@ -182,6 +182,7 @@ func BenchmarkE7CIMPStep(b *testing.B) {
 		b.Fatal(err)
 	}
 	st := m.Initial()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		n := 0
@@ -257,6 +258,7 @@ func BenchmarkExploreWorkers(b *testing.B) {
 	}
 	for _, w := range []int{1, 2, 4, 8} {
 		b.Run(itoa(w)+"w", func(b *testing.B) {
+			b.ReportAllocs()
 			states := 0
 			for i := 0; i < b.N; i++ {
 				res := explore.Run(m, invariant.All(),

@@ -83,19 +83,30 @@ type Head[S any] struct {
 // by resolving Choose alternatives and unfolding deterministic control.
 // The configuration's data state is needed to evaluate conditions.
 func Heads[S any](stack []Com[S], s S) []Head[S] {
+	return appendHeads(nil, stack, s)
+}
+
+// appendHeads appends the Heads of stack to dst. A Choose alternative
+// that is already an action command needs no unfolding, so its head
+// continues with the Choose's own continuation and no stack is built.
+func appendHeads[S any](dst []Head[S], stack []Com[S], s S) []Head[S] {
 	stack = Norm(stack, s)
 	if len(stack) == 0 {
-		return nil
+		return dst
 	}
 	switch c := stack[0].(type) {
 	case *Choose[S]:
-		var hs []Head[S]
 		for _, alt := range c.Alts {
-			hs = append(hs, Heads(pushed(stack[1:], alt), s)...)
+			switch alt.(type) {
+			case *LocalOp[S], *Request[S], *Response[S]:
+				dst = append(dst, Head[S]{Act: alt, Cont: stack[1:]})
+			default:
+				dst = appendHeads(dst, pushed(stack[1:], alt), s)
+			}
 		}
-		return hs
+		return dst
 	case *LocalOp[S], *Request[S], *Response[S]:
-		return []Head[S]{{Act: stack[0], Cont: stack[1:]}}
+		return append(dst, Head[S]{Act: stack[0], Cont: stack[1:]})
 	default:
 		panic(fmt.Sprintf("cimp: Norm returned unexpected head %T", c))
 	}

@@ -77,6 +77,14 @@ func fuse[S any](cfg Config[S]) Config[S] {
 //	τ:          one process takes a local step;
 //	rendezvous: a Request of process p synchronizes with a Response of a
 //	            distinct process q; both update local state simultaneously.
+//
+// Every process's Heads are computed once per call. The enumeration
+// order is fixed, because checkpoints and counterexample traces record
+// transitions by their index in it: for each process p, first p's τ
+// steps in head order, then p's Request heads in head order, each
+// paired with every peer q ≠ p in ascending order, q's Response heads in
+// head order, each reply, and each result of the Request's Ret. It is
+// the order of composing TauSuccessors, Offers and Answers pair by pair.
 func (sys System[S]) Successors(yield func(next System[S], ev Event)) {
 	post := func(c Config[S]) Config[S] {
 		if sys.DisableFusion {
@@ -84,30 +92,58 @@ func (sys System[S]) Successors(yield func(next System[S], ev Event)) {
 		}
 		return fuse(c)
 	}
-	for p := range sys.Procs {
+	// heads holds every process's Heads back to back; process p's are
+	// heads[off[p]:off[p+1]].
+	var offBuf [8]int
+	off := append(offBuf[:0], 0)
+	heads := make([]Head[S], 0, 8*len(sys.Procs))
+	for _, cfg := range sys.Procs {
+		heads = appendHeads(heads, cfg.Stack, cfg.Data)
+		off = append(off, len(heads))
+	}
+	for p, cfg := range sys.Procs {
 		pid := PID(p)
+		hp := heads[off[p]:off[p+1]]
 		// τ steps.
-		TauSuccessors(sys.Procs[p], func(next Config[S], label string) {
-			ns := sys.CloneShallow()
-			ns.Procs[p] = post(next)
-			yield(ns, Event{Proc: pid, Peer: -1, Label: label})
-		})
+		for _, h := range hp {
+			op, ok := h.Act.(*LocalOp[S])
+			if !ok {
+				continue
+			}
+			for _, s2 := range op.F(cfg.Data) {
+				ns := sys.CloneShallow()
+				ns.Procs[p] = post(Config[S]{Stack: Norm(h.Cont, s2), Data: s2})
+				yield(ns, Event{Proc: pid, Peer: -1, Label: op.L})
+			}
+		}
 		// Rendezvous with every other process.
-		for _, off := range Offers(sys.Procs[p]) {
-			for q := range sys.Procs {
+		for _, h := range hp {
+			req, ok := h.Act.(*Request[S])
+			if !ok {
+				continue
+			}
+			alpha := req.Act(cfg.Data)
+			for q, peer := range sys.Procs {
 				if q == p {
 					continue
 				}
-				for _, ans := range Answers(sys.Procs[q], off.Alpha) {
-					for _, pNext := range off.Accept(ans.Beta) {
-						ns := sys.CloneShallow()
-						ns.Procs[p] = post(pNext)
-						ns.Procs[q] = post(ans.Next)
-						yield(ns, Event{
-							Proc: pid, Peer: PID(q),
-							Label: off.Label, PeerLabel: ans.Label,
-							Alpha: off.Alpha, Beta: ans.Beta,
-						})
+				for _, hq := range heads[off[q]:off[q+1]] {
+					resp, ok := hq.Act.(*Response[S])
+					if !ok {
+						continue
+					}
+					for _, r := range resp.F(peer.Data, alpha) {
+						qNext := Config[S]{Stack: Norm(hq.Cont, r.S), Data: r.S}
+						for _, s2 := range req.Ret(cfg.Data, r.Msg) {
+							ns := sys.CloneShallow()
+							ns.Procs[p] = post(Config[S]{Stack: Norm(h.Cont, s2), Data: s2})
+							ns.Procs[q] = post(qNext)
+							yield(ns, Event{
+								Proc: pid, Peer: PID(q),
+								Label: req.L, PeerLabel: resp.L,
+								Alpha: alpha, Beta: r.Msg,
+							})
+						}
 					}
 				}
 			}

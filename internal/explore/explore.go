@@ -1198,7 +1198,7 @@ claim:
 // unreduced relation.
 func (e *explorer) expandState(cur qent, nd int, amp gcmodel.Ample, next *[]qent, transitions *int64, buf *[]byte) (out, taken int) {
 	b := *buf
-	e.m.SuccessorsConcurrent(cur.state, func(ns cimp.System[*gcmodel.Local], ev cimp.Event) {
+	e.m.Successors(cur.state, func(ns cimp.System[*gcmodel.Local], ev cimp.Event) {
 		eidx := out
 		out++
 		if amp.OK && !amp.Matches(ev) {
@@ -1349,7 +1349,7 @@ func (e *explorer) replay(path []pathStep) []Step {
 	for _, ps := range path {
 		found := false
 		idx := int32(0)
-		e.m.SuccessorsConcurrent(cur, func(next cimp.System[*gcmodel.Local], ev cimp.Event) {
+		e.m.Successors(cur, func(next cimp.System[*gcmodel.Local], ev cimp.Event) {
 			if found {
 				return
 			}

@@ -7,9 +7,9 @@ import (
 )
 
 // This file is the model checker's hot-path interface to the model: an
-// allocation-free fingerprint encoder, the fingerprint-to-hash fast path
-// that backs the checker's compact visited sets, and the concurrency
-// contract of the transition relation.
+// allocation-free fingerprint encoder and the fingerprint-to-hash fast
+// path that backs the checker's compact visited sets. The concurrency
+// contract of the transition relation is documented on Model.Successors.
 
 // AppendFingerprint appends the canonical encoding of st to dst and
 // returns the extended buffer. It is the allocation-free form of
@@ -56,17 +56,4 @@ func Hash64(b []byte) uint64 {
 		h *= prime64
 	}
 	return h
-}
-
-// SuccessorsConcurrent is Successors for concurrent callers. The
-// transition relation is persistent: every LocalOp/Request/Response
-// handler clones the process-local state before mutating it (see
-// program.go and Local.Clone), and System.Successors copies the process
-// table, so enumeration only reads st and the states it shares structure
-// with. Distinct goroutines may therefore enumerate successors of
-// distinct — even structurally shared — states simultaneously. This
-// entry point exists to make that contract explicit and race-tested; it
-// must not acquire locks or touch model-level scratch state.
-func (m *Model) SuccessorsConcurrent(st cimp.System[*Local], yield func(cimp.System[*Local], cimp.Event)) {
-	st.Successors(yield)
 }

@@ -246,7 +246,19 @@ func Build(cfg Config) (*Model, error) {
 // Initial returns the initial system state.
 func (m *Model) Initial() cimp.System[*Local] { return m.init }
 
-// Successors enumerates the system transitions from st.
+// Successors enumerates the system transitions from st, in the fixed
+// order of cimp.System.Successors: checkpoints and counterexample traces
+// record a transition by its index in that order.
+//
+// It is safe for concurrent use. The transition relation is persistent:
+// the collector and mutator handlers clone the process-local state
+// before mutating it (program.go, Local.Clone), the system handlers
+// write only what they have copied (the copy-on-write contract of cow in
+// sys.go), and cimp.System.Successors copies the process table, so
+// enumeration only reads st and the states it shares structure with.
+// Distinct goroutines may therefore enumerate successors of distinct —
+// even structurally shared — states simultaneously. It must not acquire
+// locks or touch model-level scratch state.
 func (m *Model) Successors(st cimp.System[*Local], yield func(cimp.System[*Local], cimp.Event)) {
 	st.Successors(yield)
 }

@@ -47,6 +47,8 @@ func sysRead(s *SysLocal, p cimp.PID, loc Loc) Val {
 
 // doWrite is do-write-action: apply a dequeued store to shared memory.
 // Writes to freed objects are dropped (possible only in ablated models).
+// s is a copy-on-write clone (see cow), so a heap write first
+// path-copies the written object.
 func doWrite(s *SysLocal, w WAct) {
 	switch w.Loc.Kind {
 	case LFA:
@@ -57,10 +59,12 @@ func doWrite(s *SysLocal, w WAct) {
 		s.Phase = w.Val.Phase()
 	case LMark:
 		if s.Heap.Valid(w.Loc.R) {
+			s.Heap = s.Heap.Own(w.Loc.R)
 			s.Heap.SetFlag(w.Loc.R, w.Val.Bool())
 		}
 	case LField:
 		if s.Heap.Valid(w.Loc.R) {
+			s.Heap = s.Heap.Own(w.Loc.R)
 			s.Heap.Store(w.Loc.R, w.Loc.F, w.Val.Ref())
 		}
 	}
@@ -70,6 +74,21 @@ func doWrite(s *SysLocal, w WAct) {
 // only if no other process holds the TSO lock.
 func notBlocked(s *SysLocal, p cimp.PID) bool {
 	return s.Lock == -1 || s.Lock == p
+}
+
+// cow is the system handlers' copy-on-write clone of a system state. It
+// shares the heap, every store buffer and Pending with l, and copies only
+// the outer Bufs slice, so a handler may replace a buffer outright. A
+// handler that writes anything shared must copy it first: the heap via
+// heap.Heap.Own (doWrite, alloc, free), Pending via a fresh slice
+// (hs-signal, hs-done). Buffers are never written in place, only
+// replaced. The shared parts are read concurrently by checker workers
+// expanding other states, so an in-place write would corrupt them; the
+// public Local.Clone stays a deep copy for code outside this file.
+func cow(l *Local) *Local {
+	s := *l.Sys
+	s.Bufs = append([][]WAct(nil), l.Sys.Bufs...)
+	return &Local{Self: l.Self, Sys: &s}
 }
 
 // resp builds a system RESPONSE handling one request kind.
@@ -83,7 +102,8 @@ func resp(label string, kind ReqKind, f func(s *Local, req Req) []cimp.Reply[*Lo
 	}}
 }
 
-// one is a singleton reply whose state was produced by mutating a clone.
+// one is a singleton reply whose state was produced by mutating a
+// copy-on-write clone.
 func one(s *Local, beta Resp) []cimp.Reply[*Local] {
 	return []cimp.Reply[*Local]{{S: s, Msg: beta}}
 }
@@ -105,16 +125,19 @@ func (c *Config) SysProgram() cimp.Com[*Local] {
 				if !notBlocked(l.Sys, req.P) {
 					return nil
 				}
-				n := l.Clone()
+				n := cow(l)
 				doWrite(n.Sys, WAct{Loc: req.Loc, Val: req.Val})
 				return one(n, Resp{})
 			}
 			if c.MaxBuf > 0 && len(l.Sys.Bufs[req.P]) >= c.MaxBuf {
 				return nil // buffer full under the configured bound
 			}
-			n := l.Clone()
-			n.Sys.Bufs[req.P] = append(append([]WAct(nil), n.Sys.Bufs[req.P]...),
-				WAct{Loc: req.Loc, Val: req.Val})
+			n := cow(l)
+			old := l.Sys.Bufs[req.P]
+			buf := make([]WAct, len(old)+1)
+			copy(buf, old)
+			buf[len(old)] = WAct{Loc: req.Loc, Val: req.Val}
+			n.Sys.Bufs[req.P] = buf
 			return one(n, Resp{})
 		}),
 
@@ -129,7 +152,7 @@ func (c *Config) SysProgram() cimp.Com[*Local] {
 			if l.Sys.Lock != -1 {
 				return nil
 			}
-			n := l.Clone()
+			n := cow(l)
 			n.Sys.Lock = req.P
 			return one(n, Resp{})
 		}),
@@ -138,7 +161,7 @@ func (c *Config) SysProgram() cimp.Com[*Local] {
 			if l.Sys.Lock != req.P || len(l.Sys.Bufs[req.P]) != 0 {
 				return nil
 			}
-			n := l.Clone()
+			n := cow(l)
 			n.Sys.Lock = -1
 			return one(n, Resp{})
 		}),
@@ -149,12 +172,13 @@ func (c *Config) SysProgram() cimp.Com[*Local] {
 			}
 			var out []cimp.Reply[*Local]
 			for _, r := range l.Sys.Heap.FreeRefs() {
-				n := l.Clone()
+				n := cow(l)
 				flag := n.Sys.FA
 				if c.AllocWhite {
 					// Ablation E11: allocate with the unmarked sense.
 					flag = !n.Sys.FM
 				}
+				n.Sys.Heap = n.Sys.Heap.Own(r)
 				n.Sys.Heap.AllocAt(r, c.NFields, flag)
 				out = append(out, cimp.Reply[*Local]{S: n, Msg: Resp{Ref: r}})
 			}
@@ -165,7 +189,8 @@ func (c *Config) SysProgram() cimp.Com[*Local] {
 			if !notBlocked(l.Sys, req.P) || !l.Sys.Heap.Valid(req.Loc.R) {
 				return nil
 			}
-			n := l.Clone()
+			n := cow(l)
+			n.Sys.Heap = n.Sys.Heap.Own(req.Loc.R)
 			n.Sys.Heap.Free(req.Loc.R)
 			return one(n, Resp{})
 		}),
@@ -178,14 +203,15 @@ func (c *Config) SysProgram() cimp.Com[*Local] {
 		}),
 
 		resp("sys-hs-start", RHsStart, func(l *Local, req Req) []cimp.Reply[*Local] {
-			n := l.Clone()
+			n := cow(l)
 			n.Sys.HSType = req.HS
 			n.Sys.Tag = req.Tag
 			return one(n, Resp{})
 		}),
 
 		resp("sys-hs-signal", RHsSignal, func(l *Local, req Req) []cimp.Reply[*Local] {
-			n := l.Clone()
+			n := cow(l)
+			n.Sys.Pending = append([]bool(nil), n.Sys.Pending...)
 			n.Sys.Pending[req.Mut] = true
 			return one(n, Resp{})
 		}),
@@ -200,7 +226,8 @@ func (c *Config) SysProgram() cimp.Com[*Local] {
 			if !l.Sys.Pending[m] {
 				return nil
 			}
-			n := l.Clone()
+			n := cow(l)
+			n.Sys.Pending = append([]bool(nil), n.Sys.Pending...)
 			n.Sys.Pending[m] = false
 			n.Sys.W = n.Sys.W.Union(req.WM)
 			return one(n, Resp{})
@@ -212,7 +239,7 @@ func (c *Config) SysProgram() cimp.Com[*Local] {
 					return nil
 				}
 			}
-			n := l.Clone()
+			n := cow(l)
 			w := n.Sys.W
 			n.Sys.W = 0
 			return one(n, Resp{W: w})
@@ -228,14 +255,13 @@ func (c *Config) SysProgram() cimp.Com[*Local] {
 				if len(l.Sys.Bufs[p]) == 0 || !notBlocked(l.Sys, pid) {
 					continue
 				}
-				n := l.Clone()
+				n := cow(l)
 				w := n.Sys.Bufs[p][0]
 				rest := n.Sys.Bufs[p][1:]
 				if len(rest) == 0 {
-					n.Sys.Bufs[p] = nil
-				} else {
-					n.Sys.Bufs[p] = append([]WAct(nil), rest...)
+					rest = nil
 				}
+				n.Sys.Bufs[p] = rest // shared with l: buffers are never written in place
 				doWrite(n.Sys, w)
 				out = append(out, n)
 			}

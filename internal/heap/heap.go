@@ -64,6 +64,18 @@ func (h Heap) Clone() Heap {
 	return n
 }
 
+// Own returns a heap equal to h whose object table is fresh and whose
+// object at r, if any, is a private copy; every other object is shared
+// with h. It is the path copy of a copy-on-write heap: the caller may
+// then AllocAt, Free, Store or SetFlag at r without changing h.
+func (h Heap) Own(r Ref) Heap {
+	n := Heap{Objs: append([]*Object(nil), h.Objs...)}
+	if o := n.Objs[r]; o != nil {
+		n.Objs[r] = o.Clone()
+	}
+	return n
+}
+
 // Size reports the size of the reference universe.
 func (h Heap) Size() int { return len(h.Objs) }
 

@@ -155,6 +155,29 @@ func TestCloneIsDeep(t *testing.T) {
 	}
 }
 
+func TestOwnPathCopies(t *testing.T) {
+	h := build(t, 3, map[Ref][]Ref{0: {1}, 1: {NilRef}})
+	c := h.Own(0)
+	c.Store(0, 0, NilRef)
+	c.SetFlag(0, true)
+	if h.Load(0, 0) != 1 || h.Obj(0).Flag {
+		t.Fatal("write to the owned object reached the original")
+	}
+	if c.Obj(1) != h.Obj(1) {
+		t.Fatal("Own copied an object it does not own")
+	}
+	c = h.Own(2)
+	c.AllocAt(2, 1, false)
+	if h.Valid(2) {
+		t.Fatal("alloc through Own reached the original")
+	}
+	c = h.Own(1)
+	c.Free(1)
+	if !h.Valid(1) {
+		t.Fatal("free through Own reached the original")
+	}
+}
+
 func TestFingerprintSensitivity(t *testing.T) {
 	a := build(t, 2, map[Ref][]Ref{0: {1}, 1: {NilRef}})
 	b := a.Clone()
