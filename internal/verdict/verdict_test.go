@@ -35,7 +35,8 @@ func record(t *testing.T, spec core.JobSpec) verdict.Record {
 }
 
 // TestGolden pins the wire format: the canonical JSON of a bounded
-// clean run and of a violation run must match the checked-in golden
+// clean run, of a violation run and of two liveness-violation runs
+// (including their rendered lassos) must match the checked-in golden
 // files byte for byte. Run with -update to regenerate after a
 // deliberate schema change.
 func TestGolden(t *testing.T) {
@@ -55,6 +56,24 @@ func TestGolden(t *testing.T) {
 				Preset:    "tiny",
 				Ablations: core.Ablations{NoDeletionBarrier: true},
 				Options:   core.JobOptions{Workers: 1, MaxDepth: 50},
+			},
+			exit: 1,
+		},
+		{
+			name: "liveness-mute-handshake",
+			spec: core.JobSpec{
+				Preset:    "tiny",
+				Ablations: core.Ablations{MuteHandshake: true},
+				Options:   core.JobOptions{Liveness: true},
+			},
+			exit: 1,
+		},
+		{
+			name: "liveness-no-dequeue",
+			spec: core.JobSpec{
+				Preset:    "tiny",
+				Ablations: core.Ablations{NoDequeue: true},
+				Options:   core.JobOptions{Liveness: true},
 			},
 			exit: 1,
 		},
