@@ -175,16 +175,6 @@ func union(a, b []int) []int {
 	return out
 }
 
-// ByLabel returns the node with the given label, or -1.
-func (g *CFG) ByLabel(label string) int {
-	for i, n := range g.Nodes {
-		if n.Label == label {
-			return i
-		}
-	}
-	return -1
-}
-
 // bufferedWrite reports whether node n enqueues a TSO store.
 func (g *CFG) bufferedWrite(n int) bool {
 	r := g.Nodes[n].Req

@@ -5,12 +5,14 @@ import (
 	"sync/atomic"
 
 	"repro/internal/cimp"
+	"repro/internal/explore"
 	"repro/internal/gcmodel"
 )
 
 // Validator replays the static declarations against a running
-// exploration. Its two hooks are wired into the checker (package
-// explore via package core) when effect validation is enabled:
+// exploration. Its two checks are wired into the checker's hook
+// (Validator.Hook, installed by package core) when effect validation
+// is enabled:
 //
 //   - CheckEvent fires on every transition the search takes and fails
 //     if the observed kind, location class, responder label, τ label,
@@ -47,6 +49,17 @@ func (v *Validator) Footprint() *Footprint { return v.fp }
 // Stats returns the number of transitions and states validated.
 func (v *Validator) Stats() (events, states int64) {
 	return v.events.Load(), v.states.Load()
+}
+
+// Hook returns the explore hook that runs CheckEvent on every
+// transition and CheckPOR on every new state.
+func (v *Validator) Hook() explore.Hook {
+	return explore.Hook{
+		State: v.CheckPOR,
+		Edge: func(_ uint64, _ int, _ uint64, p, n cimp.System[*gcmodel.Local], ev cimp.Event) error {
+			return v.CheckEvent(p, n, ev)
+		},
+	}
 }
 
 func sysOf(st cimp.System[*gcmodel.Local]) *gcmodel.SysLocal {

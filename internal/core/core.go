@@ -22,7 +22,6 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/checkpoint"
-	"repro/internal/cimp"
 	"repro/internal/explore"
 	"repro/internal/gcmodel"
 	"repro/internal/gcrt"
@@ -78,10 +77,11 @@ type VerifyOptions struct {
 	// Liveness additionally runs the fair-cycle liveness checker
 	// (package liveness) after the safety exploration: every progress
 	// property is checked for weakly fair violating cycles, with lasso
-	// counterexamples in VerifyResult.Liveness. The liveness pass always
-	// re-explores the full, unreduced relation, regardless of
-	// Reduce/Symmetry (see DESIGN.md "Liveness architecture"), and is
-	// skipped when the safety pass already found a violation.
+	// counterexamples in VerifyResult.Liveness. The liveness pass is a
+	// second explore run over the full, unreduced relation, regardless
+	// of Reduce/Symmetry (see DESIGN.md "Liveness architecture"), with
+	// this run's Workers, Progress, ProgressEvery, caps and Context. It
+	// is skipped when the safety pass already found a violation.
 	Liveness bool
 	// LivenessProps selects a subset of the progress properties by name
 	// (nil = all; see liveness.All).
@@ -238,10 +238,7 @@ func Fingerprint(cfg ModelConfig, opt VerifyOptions) (uint64, string, error) {
 	}
 	eopt := exploreOptions(opt)
 	if opt.ValidateEffects {
-		// Only non-nil-ness enters the summary; the stubs stand in for
-		// the validator hooks Verify installs.
-		eopt.EventCheck = func(_, _ cimp.System[*gcmodel.Local], _ cimp.Event) error { return nil }
-		eopt.StateCheck = func(cimp.System[*gcmodel.Local]) error { return nil }
+		eopt.Hook = new(analysis.Validator).Hook() // only its non-nil-ness enters the summary
 	}
 	_, summary := explore.OptionsFingerprint(m, battery(opt), eopt)
 	summary = fmt.Sprintf("%s liveness=%v liveProps=%v", summary, opt.Liveness, opt.LivenessProps)
@@ -269,8 +266,7 @@ func Verify(cfg ModelConfig, opt VerifyOptions) (VerifyResult, error) {
 		if err != nil {
 			return VerifyResult{}, fmt.Errorf("core: %w", err)
 		}
-		eopt.EventCheck = val.CheckEvent
-		eopt.StateCheck = val.CheckPOR
+		eopt.Hook = val.Hook()
 	}
 	res := explore.Run(m, checks, eopt)
 	vr := VerifyResult{Result: res, Model: m, Effects: val}
@@ -293,11 +289,13 @@ func Verify(cfg ModelConfig, opt VerifyOptions) (VerifyResult, error) {
 			}
 		}
 		lres, err := liveness.Check(m, liveness.Options{
-			MaxStates:  opt.MaxStates,
-			MaxDepth:   opt.MaxDepth,
-			Progress:   opt.Progress,
-			Properties: props,
-			Context:    opt.Context,
+			MaxStates:     opt.MaxStates,
+			MaxDepth:      opt.MaxDepth,
+			Progress:      opt.Progress,
+			ProgressEvery: opt.ProgressEvery,
+			Workers:       opt.Workers,
+			Properties:    props,
+			Context:       opt.Context,
 		})
 		if err != nil {
 			return vr, fmt.Errorf("core: %w", err)

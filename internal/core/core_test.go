@@ -65,7 +65,8 @@ func TestVerifyFindsAblationViolationWithTrace(t *testing.T) {
 }
 
 // livenessTestConfig is TinyConfig shrunk (stores only, budget 1) so
-// the sequential liveness graph build stays in test time.
+// the liveness pass, a second full exploration that also keeps the
+// state graph, stays in test time.
 func livenessTestConfig() ModelConfig {
 	cfg := TinyConfig()
 	cfg.OpBudget = 1
@@ -113,6 +114,33 @@ func TestVerifyLivenessAblatedModel(t *testing.T) {
 	vs := res.Liveness.Violations()
 	if len(vs) != 1 || vs[0].Name != "hs-ack-m0" || vs[0].Counterexample == nil {
 		t.Fatalf("expected a single hs-ack-m0 counterexample, got %+v", vs)
+	}
+}
+
+// TestVerifyLivenessProgressEvery checks that the liveness pass reports
+// progress at the run's ProgressEvery, like the safety pass, rather
+// than at the checker default of 8192 states.
+func TestVerifyLivenessProgressEvery(t *testing.T) {
+	const every = 100
+	var reports []Progress
+	res, err := Verify(livenessTestConfig(), VerifyOptions{
+		Liveness:      true,
+		ProgressEvery: every,
+		Progress:      func(p Progress) { reports = append(reports, p) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The liveness phase starts where the state count drops back.
+	live := 0
+	for i := 1; i < len(reports); i++ {
+		if live > 0 || reports[i].States < reports[i-1].States {
+			live++
+		}
+	}
+	if want := res.Liveness.States/every - 1; live < want {
+		t.Fatalf("liveness pass over %d states sent %d progress reports, want at least %d (one per %d states)",
+			res.Liveness.States, live, want, every)
 	}
 }
 

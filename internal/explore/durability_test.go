@@ -318,12 +318,12 @@ func TestWorkerPanicContained(t *testing.T) {
 		opt := Options{
 			Workers:  workers,
 			HashOnly: true,
-			EventCheck: func(parent, next cimp.System[*gcmodel.Local], ev cimp.Event) error {
+			Hook: Hook{Edge: func(_ uint64, _ int, _ uint64, _, _ cimp.System[*gcmodel.Local], _ cimp.Event) error {
 				if events.Add(1) == 2000 {
 					panic("injected fault: event check exploded")
 				}
 				return nil
-			},
+			}},
 		}
 		res := Run(m, invariant.Safety(), opt)
 		if res.Stopped != StopPanic {

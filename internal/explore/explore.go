@@ -123,21 +123,9 @@ type Options struct {
 	// carries concrete states, so traces remain concrete runs. No-op
 	// for single-mutator models.
 	Symmetry bool
-	// EventCheck, if non-nil, is invoked for every transition the search
-	// takes (including transitions into already-visited states) with the
-	// source state, the successor, and the event. A non-nil error is
-	// reported as an "event-check" violation at the successor, with the
-	// usual minimal-depth/minimal-hash tie-breaking. Package core wires
-	// analysis.Validator.CheckEvent here to validate the declared effect
-	// footprint against the run.
-	EventCheck func(parent, next cimp.System[*gcmodel.Local], ev cimp.Event) error
-	// StateCheck, if non-nil, is invoked once per newly visited state
-	// after the invariant battery. A non-nil error is reported as a
-	// "state-check" violation. Package core wires
-	// analysis.Validator.CheckPOR here to diff the derived POR safe
-	// classification against the handwritten one on every reachable
-	// state.
-	StateCheck func(st cimp.System[*gcmodel.Local]) error
+	// Hook observes the search. Package core wires analysis.Validator
+	// here, and package liveness builds its state graph from it.
+	Hook Hook
 	// Context, if non-nil, requests graceful interruption: cancellation
 	// is observed at layer boundaries only ("finish the current layer"),
 	// so an interrupted run stops at a consistent cut, writes a final
@@ -181,6 +169,26 @@ type Options struct {
 	// through a storage.FS; nil means the real filesystem. Process-
 	// local and verdict-neutral: excluded from OptionsFingerprint.
 	FS storage.FS
+}
+
+// Hook observes a search. State and Edge run concurrently on the
+// workers, but one source state's Edge calls all come from one
+// goroutine, in event-index order; Layer runs single-threaded. Any
+// field may be nil.
+type Hook struct {
+	// State sees each newly visited state, the initial one included,
+	// after the invariant battery. An error is reported as a
+	// "state-check" violation.
+	State func(st cimp.System[*gcmodel.Local]) error
+	// Edge sees every transition taken, into new and visited states
+	// alike, before the target is inserted: from and to are fingerprint
+	// hashes, eidx indexes the source's unreduced successor enumeration.
+	// An error is reported as an "event-check" violation at the target.
+	Edge func(from uint64, eidx int, to uint64, parent, next cimp.System[*gcmodel.Local], ev cimp.Event) error
+	// Layer runs once each layer is expanded, a last layer cut short by
+	// MaxStates included, before any stop is acted on. It does not run
+	// after a worker panic or a failed spill read.
+	Layer func()
 }
 
 // CheckpointOptions configures run snapshots.
@@ -654,7 +662,7 @@ func OptionsFingerprint(m *gcmodel.Model, checks []invariant.Check, opt Options)
 		"cfg=%+v checks=%v maxStates=%d maxDepth=%d trace=%v hashOnly=%v reduce=%v symmetry=%v shards=%d eventCheck=%v stateCheck=%v",
 		m.Cfg, names, opt.MaxStates, opt.MaxDepth, opt.Trace, opt.HashOnly,
 		opt.Reduce, opt.Symmetry, shards,
-		opt.EventCheck != nil, opt.StateCheck != nil,
+		opt.Hook.Edge != nil, opt.Hook.State != nil,
 	)
 	return gcmodel.Hash64([]byte(summary)), summary
 }
@@ -718,18 +726,19 @@ func (e *explorer) run() Result {
 			res.Err = e.panicErr
 			break
 		}
+		if err := e.spill.firstErr(); err != nil {
+			// A worker's spill read failed mid-layer: the layer is torn,
+			// so nothing below may treat it as a cut.
+			res.Stopped = StopSpill
+			res.Err = err
+			break
+		}
+		if e.opt.Hook.Layer != nil {
+			e.opt.Hook.Layer()
+		}
 		if e.violated.Load() {
 			res.Stopped = StopViolation
 			break
-		}
-		if e.spill != nil {
-			if err := e.spill.firstErr(); err != nil {
-				// A worker's spill read failed mid-layer: the layer is
-				// torn, so nothing below may treat it as a cut.
-				res.Stopped = StopSpill
-				res.Err = err
-				break
-			}
 		}
 		if e.capped.Load() {
 			// Workers bail mid-layer on the cap, so the frontier is not
@@ -742,7 +751,7 @@ func (e *explorer) run() Result {
 		// cut. Checkpoints, the memory watchdog, the spill rung, and
 		// cancellation all act here.
 		if stop := e.watchdog(depth+1, layer, &res); stop {
-			if err := e.spillErr(); err != nil {
+			if err := e.spill.firstErr(); err != nil {
 				res.Stopped = StopSpill
 				res.Err = err
 			} else {
@@ -790,14 +799,6 @@ func (e *explorer) run() Result {
 	}
 	e.collect(&res)
 	return res
-}
-
-// spillErr returns the latched spill failure (nil without a spill).
-func (e *explorer) spillErr() error {
-	if e.spill == nil {
-		return nil
-	}
-	return e.spill.firstErr()
 }
 
 // interrupted reports whether ctx (possibly nil) has been cancelled.
@@ -1208,8 +1209,8 @@ func (e *explorer) expandState(cur qent, nd int, amp gcmodel.Ample, next *[]qent
 		*transitions++
 		b = e.fp(b[:0], ns)
 		h := gcmodel.Hash64(b)
-		if e.opt.EventCheck != nil {
-			if err := e.opt.EventCheck(cur.state, ns, ev); err != nil {
+		if e.opt.Hook.Edge != nil {
+			if err := e.opt.Hook.Edge(cur.hash, eidx, h, cur.state, ns, ev); err != nil {
 				e.offerViolation(&Violation{Invariant: "event-check", Err: err, Depth: nd, State: ns}, h)
 				return
 			}
@@ -1238,7 +1239,7 @@ func (e *explorer) expandState(cur qent, nd int, amp gcmodel.Ample, next *[]qent
 	return out, taken
 }
 
-// check evaluates the invariant battery at st.
+// check evaluates the invariant battery, then the state hook, at st.
 func (e *explorer) check(st cimp.System[*gcmodel.Local], depth int) *Violation {
 	if len(e.checks) > 0 {
 		g := gcmodel.Global{Model: e.m, State: st}
@@ -1249,8 +1250,8 @@ func (e *explorer) check(st cimp.System[*gcmodel.Local], depth int) *Violation {
 			}
 		}
 	}
-	if e.opt.StateCheck != nil {
-		if err := e.opt.StateCheck(st); err != nil {
+	if e.opt.Hook.State != nil {
+		if err := e.opt.Hook.State(st); err != nil {
 			return &Violation{Invariant: "state-check", Err: err, Depth: depth, State: st}
 		}
 	}

@@ -30,6 +30,7 @@ package explore
 // Completing on a disk that lies is not an option.
 
 import (
+	"encoding/binary"
 	"fmt"
 	"path/filepath"
 	"runtime"
@@ -139,8 +140,12 @@ func (sp *spillState) isActive() bool {
 	return sp.active
 }
 
-// firstErr returns the latched spill failure, if any.
+// firstErr returns the latched spill failure, if any (nil without a
+// spill).
 func (sp *spillState) firstErr() error {
+	if sp == nil {
+		return nil
+	}
 	sp.mu.Lock()
 	defer sp.mu.Unlock()
 	return sp.err
@@ -233,9 +238,9 @@ func (sp *spillState) flushHotLocked(v *visited) error {
 		s := &v.shards[i]
 		s.mu.Lock()
 		for h, r := range s.hot {
-			payload = appendU64(payload, h)
-			payload = appendU64(payload, r.parent)
-			payload = appendU32(payload, uint32(r.eidx))
+			payload = binary.LittleEndian.AppendUint64(payload, h)
+			payload = binary.LittleEndian.AppendUint64(payload, r.parent)
+			payload = binary.LittleEndian.AppendUint32(payload, uint32(r.eidx))
 			n++
 		}
 		clear(s.hot)
@@ -343,8 +348,9 @@ func (sp *spillState) loadRecs() (map[uint64]rec, error) {
 			return nil, fmt.Errorf("explore: spill trace records damaged: section %q, %d payload bytes", name, len(payload))
 		}
 		for p := 0; p+spillRecBytes <= len(payload); p += spillRecBytes {
-			h := readU64(payload[p:])
-			recs[h] = rec{parent: readU64(payload[p+8:]), eidx: int32(readU32(payload[p+16:]))}
+			h := binary.LittleEndian.Uint64(payload[p:])
+			parent := binary.LittleEndian.Uint64(payload[p+8:])
+			recs[h] = rec{parent: parent, eidx: int32(binary.LittleEndian.Uint32(payload[p+16:]))}
 		}
 		off = next
 	}
@@ -363,21 +369,4 @@ func (sp *spillState) cleanup() {
 		sp.fs.Remove(sp.vfPath)
 		sp.vf = nil
 	}
-}
-
-func appendU64(b []byte, v uint64) []byte {
-	return append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24), byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56))
-}
-
-func appendU32(b []byte, v uint32) []byte {
-	return append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-}
-
-func readU64(b []byte) uint64 {
-	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
-		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
-}
-
-func readU32(b []byte) uint32 {
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
 }

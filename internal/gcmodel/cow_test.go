@@ -130,13 +130,13 @@ func TestSuccessorsPersistentConcurrent(t *testing.T) {
 	var visited []seenState
 	res := explore.Run(m, invariant.All(), explore.Options{
 		MaxStates: 20_000, Workers: 2, HashOnly: true,
-		StateCheck: func(st gcmodel.SysState) error {
+		Hook: explore.Hook{State: func(st gcmodel.SysState) error {
 			fp := m.AppendFingerprint(nil, st)
 			mu.Lock()
 			visited = append(visited, seenState{st, fp})
 			mu.Unlock()
 			return nil
-		},
+		}},
 	})
 	if res.Violation != nil {
 		t.Fatal(res.Violation)

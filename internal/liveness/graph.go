@@ -1,8 +1,6 @@
 package liveness
 
 import (
-	"time"
-
 	"repro/internal/cimp"
 	"repro/internal/explore"
 	"repro/internal/gcmodel"
@@ -33,18 +31,14 @@ type graph struct {
 	// estart[u+1]-1. A MaxStates cap drops edges whose target is over
 	// the cap but keeps their bits in en, so dropped edges only remove
 	// cycles and taken-coverage — they can never excuse an entity.
-	// MaxDepth-cut nodes stay unexpanded with no out-edges, so no cycle
+	// Nodes the search never expanded (at MaxDepth, or past a MaxStates
+	// or interruption cut) keep en = 0 and no out-edges, so no cycle
 	// passes through them. Either way capped runs under-approximate:
 	// they never fabricate violations.
 	estart []int32
 	eto    []int32  // target node id
 	etaken []uint64 // fairness entities this edge serves
 	eeidx  []int32  // event index in the source's successor enumeration
-
-	transitions int
-	maxDepth    int
-	complete    bool
-	stopped     explore.StopReason
 }
 
 // bytes is the payload memory retained by the graph arrays.
@@ -59,136 +53,130 @@ func (g *graph) outEdges(u int32) (int32, int32) {
 	return g.estart[u], g.estart[u+1]
 }
 
-// buildGraph explores m breadth-first over the full, unreduced
-// transition relation and returns the materialized graph. Node ids and
-// edge order are deterministic: BFS discovery order over the
-// deterministic successor enumeration.
-func buildGraph(m *gcmodel.Model, props []Property, ents entities, opt Options, start time.Time) *graph {
-	g := &graph{m: m, ents: ents}
-	every := opt.ProgressEvery
-	if every <= 0 {
-		every = 8192
+// buildGraph explores m over the full, unreduced transition relation
+// with explore.Run — no checks, no reduction, no symmetry, no traces —
+// and builds the graph from what the search reports. It returns the
+// graph and the run's result, whose counts and stop reason describe it.
+func buildGraph(m *gcmodel.Model, props []Property, ents entities, opt Options) (*graph, explore.Result) {
+	b := &builder{
+		g:         &graph{m: m, ents: ents},
+		props:     props,
+		maxStates: opt.MaxStates,
+		ids:       make(map[uint64]int32, 1<<16),
+		out:       make([][]edge, 1),
 	}
-
-	badMask := func(st gcmodel.SysState) uint32 {
-		gl := gcmodel.Global{Model: m, State: st}
-		var mask uint32
-		for i := range props {
-			if props[i].Bad(gl) {
-				mask |= 1 << uint(i)
-			}
-		}
-		return mask
-	}
-
-	ids := make(map[uint64]int32, 1<<16)
-	// states[u] holds node u's concrete state until u is expanded, at
-	// which point it is released; BFS order makes this a sliding window
-	// in principle, but a single slice indexed by id keeps the code
-	// simple and costs only the (small) struct headers.
-	var states []gcmodel.SysState
-
-	add := func(st gcmodel.SysState, h uint64, parent, eidx, d int32) int32 {
-		id := int32(len(g.hash))
-		ids[h] = id
-		g.hash = append(g.hash, h)
-		g.bad = append(g.bad, badMask(st))
-		g.parent = append(g.parent, parent)
-		g.peidx = append(g.peidx, eidx)
-		g.depth = append(g.depth, d)
-		states = append(states, st)
-		if int(d) > g.maxDepth {
-			g.maxDepth = int(d)
-		}
-		if opt.Progress != nil && id%int32(every) == 0 {
-			opt.Progress(explore.Progress{
-				States:      int(id) + 1,
-				Transitions: g.transitions,
-				Depth:       int(d),
-				Elapsed:     time.Since(start),
-			})
-		}
-		return id
-	}
-
 	init := m.Initial()
-	var fpbuf []byte
-	fpbuf = m.AppendFingerprint(fpbuf, init)
-	add(init, gcmodel.Hash64(fpbuf), -1, -1, 0)
-
-	capped := false
-	depthCut := false
-	interrupted := false
-	for u := int32(0); int(u) < len(g.hash); u++ {
+	b.add(m.FingerprintHash(init), -1, -1, 0, badMask(m, props, init))
+	res := explore.Run(m, nil, explore.Options{
+		MaxStates:     opt.MaxStates,
+		MaxDepth:      opt.MaxDepth,
+		Progress:      opt.Progress,
+		ProgressEvery: opt.ProgressEvery,
+		Workers:       opt.Workers,
+		HashOnly:      true,
+		Context:       opt.Context,
+		Hook:          explore.Hook{Edge: b.edge, Layer: b.layer},
+	})
+	g := b.g
+	for len(g.estart) <= len(g.hash) { // unexpanded nodes, then the sentinel
 		g.estart = append(g.estart, int32(len(g.eto)))
-		su := states[u]
-		states[u] = gcmodel.SysState{}
-		// Cancellation is observed every 1024 expansions; once seen, the
-		// remaining discovered nodes are closed out unexpanded (like
-		// depth-cut nodes: no out-edges, so no cycle passes through
-		// them), keeping the CSR arrays consistent for a partial check.
-		if opt.Context != nil && u%1024 == 0 && !interrupted {
-			select {
-			case <-opt.Context.Done():
-				interrupted = true
-			default:
-			}
-		}
-		if interrupted || (opt.MaxDepth > 0 && int(g.depth[u]) >= opt.MaxDepth) {
-			g.en = append(g.en, 0)
-			depthCut = depthCut || !interrupted
-			continue
-		}
-		var en uint64
-		eidx := int32(-1)
-		m.Successors(su, func(ns gcmodel.SysState, ev cimp.Event) {
-			eidx++
-			g.transitions++
-			// Enabledness must be computed from the FULL successor
-			// enumeration, before any cap drops the edge: weak fairness
-			// excuses entities that are disabled somewhere on a cycle, so
-			// an under-computed en mask would excuse genuinely enabled
-			// entities and fabricate fair cycles on capped runs.
-			tk := g.takenMask(su, ev, ns)
-			en |= tk
-			fpbuf = m.AppendFingerprint(fpbuf[:0], ns)
-			h := gcmodel.Hash64(fpbuf)
-			vid, ok := ids[h]
+	}
+	return g, res
+}
+
+// builder turns the reports of one explore.Run into a graph. Workers
+// report edges in whatever order they expand states, each source's
+// edges from one goroutine in event-index order, into that source's
+// own slot. At each layer barrier the builder walks the layer's edges
+// in (source id, event index) order and gives each new target an id
+// the first time it appears: the discovery order of a sequential BFS,
+// so node ids, edge order, SCCs and lassos do not depend on the worker
+// count.
+type builder struct {
+	g         *graph
+	props     []Property
+	maxStates int
+	// ids maps fingerprint hash to node id. Only the layer barrier
+	// writes it, so workers read it without a lock.
+	ids map[uint64]int32
+	lo  int32    // id of the first node of the layer being expanded
+	out [][]edge // out[u-lo]: the edges of source u, written only by u's worker
+}
+
+// edge is one transition as reported mid-layer, before its target has
+// a node id.
+type edge struct {
+	to    uint64
+	taken uint64
+	eidx  int32
+	bad   uint32 // the target's property mask
+}
+
+func (b *builder) edge(from uint64, eidx int, to uint64, su, ns gcmodel.SysState, ev cimp.Event) error {
+	// Enabledness must be computed from the FULL successor enumeration,
+	// before any cap drops the edge: weak fairness excuses entities that
+	// are disabled somewhere on a cycle, so an under-computed en mask
+	// would excuse genuinely enabled entities and fabricate fair cycles
+	// on capped runs.
+	e := edge{to, b.g.takenMask(su, ev, ns), int32(eidx), badMask(b.g.m, b.props, ns)}
+	i := b.ids[from] - b.lo
+	b.out[i] = append(b.out[i], e)
+	return nil
+}
+
+// layer numbers the targets first reached from the layer just expanded
+// and appends the CSR edge ranges of its sources. A target over the
+// MaxStates cap gets no id and its edge is dropped (the edge list only
+// ever references real nodes), but its taken bits stay in en.
+func (b *builder) layer() {
+	g := b.g
+	hi := int32(len(g.hash))
+	for u := b.lo; u < hi; u++ {
+		g.estart = append(g.estart, int32(len(g.eto)))
+		for _, e := range b.out[u-b.lo] {
+			g.en[u] |= e.taken
+			v, ok := b.ids[e.to]
 			if !ok {
-				if opt.MaxStates > 0 && len(g.hash) >= opt.MaxStates {
-					// Target state over the cap: drop the edge (the edge
-					// list only ever references real nodes), keep its
-					// taken bits in en.
-					capped = true
-					return
+				if b.maxStates > 0 && len(g.hash) >= b.maxStates {
+					continue
 				}
-				vid = add(ns, h, u, eidx, g.depth[u]+1)
+				v = b.add(e.to, u, e.eidx, g.depth[u]+1, e.bad)
 			}
-			g.eto = append(g.eto, vid)
-			g.etaken = append(g.etaken, tk)
-			g.eeidx = append(g.eeidx, eidx)
-		})
-		g.en = append(g.en, en)
+			g.eto = append(g.eto, v)
+			g.etaken = append(g.etaken, e.taken)
+			g.eeidx = append(g.eeidx, e.eidx)
+		}
+		b.out[u-b.lo] = b.out[u-b.lo][:0]
 	}
-	g.estart = append(g.estart, int32(len(g.eto))) // sentinel
-	g.complete = !capped && !depthCut && !interrupted
-	switch {
-	case interrupted:
-		g.stopped = explore.StopInterrupted
-	case capped:
-		g.stopped = explore.StopMaxStates
-	case depthCut:
-		g.stopped = explore.StopMaxDepth
+	b.lo = hi
+	if n := len(g.hash) - int(hi); n > len(b.out) {
+		b.out = append(b.out, make([][]edge, n-len(b.out))...)
 	}
-	if opt.Progress != nil {
-		opt.Progress(explore.Progress{
-			States:      len(g.hash),
-			Transitions: g.transitions,
-			Depth:       g.maxDepth,
-			Elapsed:     time.Since(start),
-		})
+}
+
+func (b *builder) add(h uint64, parent, eidx, depth int32, bad uint32) int32 {
+	g := b.g
+	id := int32(len(g.hash))
+	b.ids[h] = id
+	g.hash = append(g.hash, h)
+	g.bad = append(g.bad, bad)
+	g.en = append(g.en, 0)
+	g.parent = append(g.parent, parent)
+	g.peidx = append(g.peidx, eidx)
+	g.depth = append(g.depth, depth)
+	return id
+}
+
+// badMask is the property bitmask of st: bit i ⇔ props[i].Bad holds.
+func badMask(m *gcmodel.Model, props []Property, st gcmodel.SysState) uint32 {
+	gl := gcmodel.Global{Model: m, State: st}
+	var mask uint32
+	for i := range props {
+		if props[i].Bad(gl) {
+			mask |= 1 << uint(i)
+		}
 	}
-	return g
+	return mask
 }
 
 // takenMask computes the fairness entities served by the transition

@@ -55,13 +55,17 @@
 // Check materializes the reachable graph once (nodes are 64-bit
 // fingerprint hashes; edges carry the event index into the unreduced
 // successor enumeration plus a bitmask of the fairness entities they
-// serve), then runs, per property, Tarjan's SCC algorithm on the
-// subgraph induced by the Bad states. A strongly connected component
-// admits a weakly fair cycle iff every entity enabled at all of its
-// states is taken on some internal edge; from the first such component
-// a concrete lasso (stem + cycle) is stitched together from shortest
-// paths and replayed through the transition relation, so a liveness
-// counterexample is a step-by-step run exactly like a safety one.
+// serve) from the transitions explore.Run reports through its hook
+// while searching the full relation with no checks; node ids are
+// assigned at each layer barrier in sequential BFS discovery order, so
+// the graph does not depend on the worker count. It then runs, per
+// property, Tarjan's SCC algorithm on the subgraph induced by the Bad
+// states. A strongly connected component admits a weakly fair cycle
+// iff every entity enabled at all of its states is taken on some
+// internal edge; from the first such component a concrete lasso (stem
+// + cycle) is stitched together from shortest paths and replayed
+// through the transition relation, so a liveness counterexample is a
+// step-by-step run exactly like a safety one.
 //
 // The detector always runs on the full, unreduced transition relation:
 // the partial-order reduction of package explore preserves reachability
@@ -175,16 +179,19 @@ type Options struct {
 	// ProgressEvery is the number of new states between Progress calls
 	// (0 = 8192).
 	ProgressEvery int
+	// Workers is the number of graph-build workers per BFS layer (0 =
+	// GOMAXPROCS). Only a MaxStates-capped graph depends on it.
+	Workers int
 	// Properties selects the progress properties to check (nil =
 	// All(m)).
 	Properties []Property
 	// Context, if non-nil, requests graceful interruption of the graph
-	// materialization: on cancellation the builder stops expanding,
-	// closes the graph consistently (unexpanded nodes keep no out-edges,
-	// so no cycle is fabricated), and the check runs on the partial
-	// graph. Violations found are real; clean verdicts on an interrupted
-	// run are inconclusive (Result.Complete false, Result.Stopped
-	// "interrupted").
+	// materialization: on cancellation the search stops at the next
+	// layer barrier, the graph is closed consistently (unexpanded nodes
+	// keep no out-edges, so no cycle is fabricated), and the check runs
+	// on the partial graph. Violations found are real; clean verdicts on
+	// an interrupted run are inconclusive (Result.Complete false,
+	// Result.Stopped "interrupted").
 	Context context.Context
 }
 
@@ -263,13 +270,16 @@ func Check(m *gcmodel.Model, opt Options) (Result, error) {
 		return Result{}, fmt.Errorf("liveness: %d mutators exceed the fairness-entity limit", m.Cfg.NMutators)
 	}
 
-	g := buildGraph(m, props, ents, opt, start)
+	g, run := buildGraph(m, props, ents, opt)
+	if run.Stopped == explore.StopPanic {
+		return Result{}, fmt.Errorf("liveness: %w", run.Err)
+	}
 	res := Result{
 		States:      len(g.hash),
-		Transitions: g.transitions,
-		Depth:       g.maxDepth,
-		Complete:    g.complete,
-		Stopped:     g.stopped,
+		Transitions: run.Transitions,
+		Depth:       int(g.depth[len(g.depth)-1]),
+		Complete:    run.Complete,
+		Stopped:     run.Stopped,
 		GraphBytes:  g.bytes(),
 	}
 	for i, p := range props {

@@ -5,31 +5,11 @@ import (
 	"testing"
 
 	"repro/internal/gcmodel"
-	"repro/internal/heap"
 	"repro/internal/liveness"
 )
 
-// smallConfig is a handshake-centric configuration small enough for the
-// full liveness check to run in milliseconds: one mutator, stores only,
-// tight budget and buffer bound.
-func smallConfig() gcmodel.Config {
-	return gcmodel.Config{
-		NMutators: 1,
-		NRefs:     2,
-		NFields:   1,
-		MaxBuf:    1,
-		OpBudget:  1,
-		InitObjects: map[heap.Ref][]heap.Ref{
-			0: {1},
-			1: {heap.NilRef},
-		},
-		InitRoots:      []heap.RefSet{heap.SetOf(0)},
-		AllowNilStore:  true,
-		DisableAlloc:   true,
-		DisableLoad:    true,
-		DisableDiscard: true,
-	}
-}
+// smallConfig is shared with the package's internal tests.
+var smallConfig = liveness.SmallConfig
 
 func build(t *testing.T, cfg gcmodel.Config) *gcmodel.Model {
 	t.Helper()
